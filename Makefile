@@ -43,8 +43,8 @@ sanitize-stress:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Batch-engine equivalence + throughput smoke across the engine ×
-# layout matrix; writes BENCH_batch_query.json at the repo root
+# Batch-engine smoke: the fused kernel against the scalar loop on
+# three workloads; writes BENCH_batch_query.json at the repo root
 # (asserts bit-identical answers and >= 5x speedup over scalar).
 bench-smoke:
 	python benchmarks/bench_batch_query.py --preset smoke

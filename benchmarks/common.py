@@ -28,7 +28,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: :func:`write_bench_json`.  v3: batch_query grew the engine × layout
 #: × workload matrix and the headline moved to the fused kernels.
 #: v4: cluster run_table rows grew cpu_s/rss_mb resource columns.
-BENCH_SCHEMA_VERSION = 4
+#: v5: batch_query dropped the engine × layout matrix and the cache hit
+#: rates — one batch engine, compared with the scalar loop.
+BENCH_SCHEMA_VERSION = 5
 
 
 def process_usage() -> dict:
@@ -85,13 +87,11 @@ def mean(values) -> float:
 def batch_rows(runs) -> str:
     """Format FilterRun rows (scalar and batch modes side by side).
 
-    Surfaces the batch engine's counters — probes per query, fetch-cache
-    hit rate and per-batch wall time — next to throughput, so a bench
-    table shows *why* the batch path is faster, not just that it is.
+    Surfaces the batch engine's counters — probes per query and
+    per-batch wall time — next to throughput.
     """
     cols = [
-        "filter", "mode", "bpk", "filter_kqps", "probes/q",
-        "cache_hit_rate", "batch_seconds",
+        "filter", "mode", "bpk", "filter_kqps", "probes/q", "batch_seconds",
     ]
     rows = [c.ljust(15) for c in cols]
     lines = ["".join(rows)]
@@ -150,9 +150,8 @@ def append_trajectory(
     the newest row from a *different* commit, so a regression is caught
     in CI before the offending commit lands.  Re-running on the same
     commit replaces that commit's row instead of appending, keeping one
-    row per (bench, preset, engine, commit) — the engine is part of the
-    key so a faster backend landing at some commit never erases the
-    older backend's baseline measured at the same commit.
+    row per (bench, preset, engine, commit); ``engine`` is an optional
+    extra field (the cluster bench tags its rows ``router``).
     """
     row = {
         "schema_version": BENCH_SCHEMA_VERSION,

@@ -16,8 +16,8 @@ Three equivalent algorithms are provided and cross-checked by tests:
   query batch with numpy, emitting flat ``(query, prefix, length)``
   arrays for the batch query engine.
 
-All return ``(prefix_value, prefix_len)`` pairs ordered left to right.
-A prefix ``(p, l)`` covers keys ``[p << (L-l), ((p+1) << (L-l)) - 1]``.
+All return ``(prefix_value, prefix_len)`` pairs ordered left to right
+(per query, for the batch form).  A prefix ``(p, l)`` covers keys ``[p << (L-l), ((p+1) << (L-l)) - 1]``.
 The empty prefix is returned as ``(0, 0)`` when the query covers the whole
 domain.
 """
@@ -123,7 +123,7 @@ def decompose_recursive(lo: int, hi: int, key_bits: int) -> list[tuple[int, int]
 
 
 def decompose_batch(
-    los: np.ndarray, his: np.ndarray, key_bits: int, *, ordered: bool = True
+    los: np.ndarray, his: np.ndarray, key_bits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dyadic cover of a whole query batch, vectorised.
 
@@ -134,16 +134,12 @@ def decompose_batch(
 
     Returns three equal-length flat arrays ``(qidx, prefixes, lengths)``:
     piece ``j`` belongs to query ``qidx[j]`` and is the prefix
-    ``(prefixes[j], lengths[j])``.  Pieces of one query appear in the same
-    left-to-right order :func:`decompose` emits, and queries appear in
-    ascending index order.  A whole-domain query yields one ``(0, 0)``
-    piece, exactly like the scalar walk.
-
-    ``ordered=False`` skips the final stable sort and returns pieces in
-    walk-round order (all first pieces, then all second pieces, ...).
-    The set of pieces is identical; callers that treat the cover as a
-    set — like the fused batch kernels — avoid an ``O(P log P)``
-    argsort that dominates decomposition time on large batches.
+    ``(prefixes[j], lengths[j])``.  Pieces come out in walk-round order —
+    every query's first piece, then every second piece, and so on — so
+    the pieces of one query appear in the same left-to-right order
+    :func:`decompose` emits, but the queries are interleaved, not
+    grouped.  A whole-domain query yields one ``(0, 0)`` piece, exactly
+    like the scalar walk.
     """
     if key_bits < 1:
         raise ValueError(f"key_bits must be positive, got {key_bits}")
@@ -203,12 +199,4 @@ def decompose_batch(
     if not out_q:
         empty = np.zeros(0, dtype=np.int64)
         return empty, np.zeros(0, dtype=np.uint64), empty
-    all_q = np.concatenate(out_q)
-    all_p = np.concatenate(out_p)
-    all_l = np.concatenate(out_l)
-    if not ordered:
-        return all_q, all_p, all_l
-    # Rounds were emitted in walk order, so a stable sort by query index
-    # recovers each query's left-to-right piece order.
-    order = np.argsort(all_q, kind="stable")
-    return all_q[order], all_p[order], all_l[order]
+    return np.concatenate(out_q), np.concatenate(out_p), np.concatenate(out_l)

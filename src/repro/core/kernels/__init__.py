@@ -1,139 +1,35 @@
-"""Native-speed batch query kernels (DESIGN.md §11).
+"""The fused batch query kernel (DESIGN.md §11).
 
-The interpreted batch engine (:meth:`REncoder.query_range_many`) pays
-for generality: a :class:`FetchCache` dedupes mini-trees with
-``np.unique``/``argsort`` per level and every probe materialises a full
-combined Bitmap Tree (a ``k × (words+1)``-word gather) to read a single
-bit out of it.  The kernels in this package fuse the whole descent —
-dyadic decomposition, hash mixing, and RBF bit-tests — into one pass
-over preallocated uint64 arrays: a probe is ``k`` single-word gathers
-(plus the mirror-root word when the hash-prefix level is stored) and the
-per-level Python round-trips between ``decompose.py``, ``rbf.py`` and
-the variant descent loops disappear.
+Every batch query on the REncoder family (``query_range_many`` /
+``query_point_many``, and through them ``RangeFilter.query_many``, the
+SSTable, LSM and service batch reads) runs on one engine: the fused
+numpy kernel in :mod:`repro.core.kernels.fused`.  It does the dyadic
+decomposition, hash mixing and RBF bit tests in one pass over
+preallocated uint64 arrays — a probe is ``k`` single-word gathers (plus
+the mirror-root word when the hash-prefix level is stored), never a
+materialised Bitmap Tree.
 
-Backends
---------
-``numpy``
-    The fused vectorised kernel (:mod:`repro.core.kernels.fused`).
-    Always available.
-``numba``
-    A compiled per-query loop (:mod:`repro.core.kernels.numba_backend`),
-    used when the ``numba`` package is importable.  Falls back to
-    ``numpy`` gracefully when it is not — selection never raises.
-``legacy``
-    The PR-1 vectorised engine with its FetchCache; kept for cache-reuse
-    call sites (an explicit ``cache=`` always routes here) and as the
-    reference implementation in equivalence tests.
-
-Selection: the ``REPRO_KERNELS`` environment variable (``numba`` |
-``numpy`` | ``auto`` | ``legacy``; default ``auto`` = numba when
-importable, else numpy), overridable per call via the ``engine=``
-argument on the batch query methods, and process-wide via
-:func:`configure`.  All backends are asserted bit-identical to the
-scalar descent by the property suite in ``tests/test_kernels.py``.
+The scalar ``query_range`` / ``query_point`` descent is the oracle: the
+property suites in ``tests/test_batch_query.py`` and
+``tests/test_kernels.py`` assert the kernel bit-identical to it for
+every variant and edge geometry.
 """
 
 from __future__ import annotations
 
-import os
+from repro.core.kernels.fused import NumpyKernel
 
-__all__ = [
-    "available_backends",
-    "configure",
-    "default_backend",
-    "get_kernel",
-    "numba_available",
-    "resolve_backend",
-]
-
-_ENV = "REPRO_KERNELS"
-_VALID = ("auto", "numba", "numpy", "legacy")
-#: Process-wide override installed by :func:`configure` (None = use env).
-_CONFIGURED: "str | None" = None
-#: Cached numba importability (None = not yet checked).
-_NUMBA_OK: "bool | None" = None
+__all__ = ["get_kernel"]
 
 
-def numba_available() -> bool:
-    """Whether the compiled backend can be used in this process."""
-    global _NUMBA_OK
-    if _NUMBA_OK is None:
-        try:
-            import numba  # noqa: F401
+def get_kernel(filt) -> NumpyKernel:
+    """The fused kernel bound to ``filt``, built once and cached on it.
 
-            _NUMBA_OK = True
-        except ImportError:
-            _NUMBA_OK = False
-    return _NUMBA_OK
-
-
-def available_backends() -> list[str]:
-    """Backends usable right now, fastest first."""
-    out = ["numba"] if numba_available() else []
-    return out + ["numpy", "legacy"]
-
-
-def configure(backend: "str | None") -> None:
-    """Install a process-wide default backend (None restores the env).
-
-    Used by the FilterService so one constructor argument pins the
-    backend for every filter the storage tier consults.
+    The cache is dropped by ``_finalise_levels`` (the only operation
+    that changes the level plan the kernel's tables bake in).  Inserts
+    keep it: the kernel reads the RBF array at call time.
     """
-    global _CONFIGURED
-    if backend is not None and backend not in _VALID:
-        raise ValueError(
-            f"unknown kernel backend {backend!r}; expected one of {_VALID}"
-        )
-    _CONFIGURED = backend
-
-
-def resolve_backend(engine: "str | None" = None) -> str:
-    """Resolve an ``engine=`` argument to a concrete backend name.
-
-    Precedence: explicit argument > :func:`configure` > ``REPRO_KERNELS``
-    env var > ``auto``.  ``auto`` resolves to ``numba`` when importable
-    and ``numpy`` otherwise; asking for ``numba`` without the package
-    installed falls back to ``numpy`` silently (graceful degradation —
-    results are bit-identical, only speed differs).
-    """
-    choice = engine or _CONFIGURED or os.environ.get(_ENV, "auto")
-    if choice not in _VALID:
-        raise ValueError(
-            f"unknown kernel backend {choice!r}; expected one of {_VALID}"
-        )
-    if choice == "auto":
-        choice = "numba" if numba_available() else "numpy"
-    elif choice == "numba" and not numba_available():
-        choice = "numpy"
-    return choice
-
-
-def default_backend() -> str:
-    """The backend batch queries use when no ``engine=`` is passed."""
-    return resolve_backend(None)
-
-
-def get_kernel(filt, backend: "str | None" = None):
-    """The (cached) fused kernel bound to ``filt`` for ``backend``.
-
-    Returns None for the ``legacy`` backend — callers fall through to
-    the FetchCache engine.  Kernels are cached per filter and
-    invalidated by ``_finalise_levels`` (the only operation that changes
-    the level plan).
-    """
-    backend = resolve_backend(backend)
-    if backend == "legacy":
-        return None
-    cached = getattr(filt, "_kernel_cache", None)
-    if cached is not None and cached[0] == backend:
-        return cached[1]
-    if backend == "numba":
-        from repro.core.kernels.numba_backend import NumbaKernel
-
-        kernel = NumbaKernel(filt)
-    else:
-        from repro.core.kernels.fused import NumpyKernel
-
-        kernel = NumpyKernel(filt)
-    filt._kernel_cache = (backend, kernel)
+    kernel = getattr(filt, "_kernel_cache", None)
+    if kernel is None:
+        kernel = filt._kernel_cache = NumpyKernel(filt)
     return kernel

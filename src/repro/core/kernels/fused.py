@@ -1,10 +1,8 @@
-"""Fused decompose+probe batch kernel (pure numpy backend).
+"""Fused decompose+probe batch kernel — the one batch query engine.
 
-The legacy batch engine materialises a combined Bitmap Tree per
-mini-tree (a ``k × (words+1)``-word gather plus shift/AND passes) and
-dedupes fetches through a FetchCache (``np.unique`` + ``argsort`` +
-``searchsorted`` per level) — then reads a *single bit* out of each
-fetched BT.  This kernel computes that bit directly:
+A probe of node ``node`` in the mini-tree of one prefix needs a single
+bit of the combined Bitmap Tree, so the kernel reads that bit directly
+instead of materialising the BT:
 
     probe(prefix, level)  =  AND_i  arr[pos_i + node - 1]           (node bit)
                           [ AND_i  arr[pos_i] ]                      (mirror root)
@@ -16,14 +14,18 @@ one batch is ~``3k`` vectorised passes and ``k`` (or ``2k`` with the
 mirror) single-word gathers — no BT materialisation, no sorting, no
 per-level Python round-trips.
 
-Bit-equivalence to the scalar descent (``tests/test_kernels.py``)
-follows from the identity above: the scalar path ANDs ``k`` whole
-windows and then reads bit ``node-1`` (zeroing the BT when the combined
-root bit is absent); AND-then-read equals read-then-AND bit by bit.
+Bit-equivalence to the scalar descent (``tests/test_batch_query.py``,
+``tests/test_kernels.py``) follows from the identity above: the scalar
+path ANDs ``k`` whole windows and then reads bit ``node-1`` (zeroing the
+BT when the combined root bit is absent); AND-then-read equals
+read-then-AND bit by bit.
 
-The level-synchronous doubting traversal mirrors
-:meth:`REncoder._descend_many` — identical frontier, budget and
-expansion semantics — with every probe routed through the fused path.
+The doubting traversal runs level-synchronously over the whole batch.
+The scalar :meth:`REncoder._descend` answers True iff some
+root-to-deepest path survives every stored-level probe or the expansion
+budget runs out — both independent of traversal order — so a
+breadth-first frontier with the same per-sub-range budget gives the
+same answers.
 """
 
 from __future__ import annotations
@@ -47,29 +49,24 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
-#: Layout codes shared with the numba backend.
-LAYOUT_FLAT = 0
-LAYOUT_BLOCKED = 1
-
 
 class KernelTables:
     """Per-filter constants flattened into plain arrays.
 
-    Everything a backend needs to probe without touching Python objects:
-    per-level geometry (depth in group, group hash tag, mirror-root
-    flag), the stored-level plan, and the RBF placement parameters.
-    Built once per filter (lazily, via :func:`repro.core.kernels.get_kernel`)
-    and shared by the numpy and numba backends.  The RBF *array* is not
-    captured — backends read ``filt.rbf._array`` at call time, so
-    in-place inserts are always visible.
+    Everything the kernel needs to probe without touching Python
+    objects: per-level geometry (depth in group, group hash tag,
+    mirror-root flag), the stored-level plan, and the RBF placement
+    parameters (hash seeds and window-start count).  Built once per
+    filter (lazily, via :func:`repro.core.kernels.get_kernel`).  The RBF
+    *array* is not captured — the kernel reads ``filt.rbf._array`` at
+    call time, so in-place inserts are always visible.
     """
 
     __slots__ = (
         "key_bits", "group_bits", "k", "depth", "tag", "mirror",
         "stored", "next_stored", "deepest", "stored_levels",
         "point_levels", "max_expansion", "ancestor_checks",
-        "layout_code", "seeds", "buckets", "span_bits", "nblocks",
-        "num_offsets", "block_seed",
+        "seeds", "buckets",
     )
 
     def __init__(self, filt) -> None:
@@ -94,22 +91,9 @@ class KernelTables:
         self.point_levels = self._plan_point_levels(filt)
         self.max_expansion = int(filt.max_expansion)
         self.ancestor_checks = bool(filt.ancestor_checks)
-        params = filt.rbf.placement_params()
-        self.seeds = np.asarray(params["seeds"], dtype=np.uint64)
-        if params["layout"] == "blocked":
-            self.layout_code = LAYOUT_BLOCKED
-            self.buckets = np.uint64(params["num_offsets"])
-            self.span_bits = np.uint64(params["span_bits"])
-            self.nblocks = np.uint64(params["nblocks"])
-            self.num_offsets = np.uint64(params["num_offsets"])
-            self.block_seed = np.uint64(params["block_seed"])
-        else:
-            self.layout_code = LAYOUT_FLAT
-            self.buckets = np.uint64(params["buckets"])
-            self.span_bits = _U1
-            self.nblocks = _U1
-            self.num_offsets = _U1
-            self.block_seed = _U1
+        rbf = filt.rbf
+        self.seeds = np.asarray(rbf._family._seeds_arr, dtype=np.uint64)
+        self.buckets = np.uint64(rbf.num_positions)
 
     @staticmethod
     def _plan_point_levels(filt) -> np.ndarray:
@@ -178,8 +162,6 @@ def _mix64_into(x: np.ndarray, t: np.ndarray) -> None:
 class NumpyKernel:
     """Fused vectorised batch kernel over a bound filter."""
 
-    backend = "numpy"
-
     def __init__(self, filt) -> None:
         self.filt = filt
         self.tables = KernelTables(filt)
@@ -220,20 +202,11 @@ class NumpyKernel:
         pos = a.u64("pos", n)
         tmp = a.u64("tmp", n)
         scr = a.u64("scr", n)
-        base = None
-        if t.layout_code == LAYOUT_BLOCKED:
-            base = a.u64("base", n)
-            np.bitwise_xor(hp, t.block_seed, out=base)
-            _mix64_into(base, tmp)
-            np.mod(base, t.nblocks, out=base)
-            np.multiply(base, t.span_bits, out=base)
         first = True
         for seed in t.seeds:
             np.bitwise_xor(hp, seed, out=pos)
             _mix64_into(pos, tmp)
             np.mod(pos, t.buckets, out=pos)
-            if base is not None:
-                np.add(pos, base, out=pos)
             # Node bit: arr[(pos + nodebit) >> 6] >> ((pos + nodebit) & 63).
             np.add(pos, nodebit, out=tmp)
             np.right_shift(tmp, _U6, out=scr)
@@ -268,9 +241,7 @@ class NumpyKernel:
             return answers
         probes = 0
         with profile_phase("kernel.decompose"):
-            qidx, prefixes, lengths = decompose_batch(
-                los, his, t.key_bits, ordered=False
-            )
+            qidx, prefixes, lengths = decompose_batch(los, his, t.key_bits)
         whole = lengths == 0
         if whole.any():
             answers[qidx[whole]] = filt.n_keys > 0
@@ -315,9 +286,11 @@ class NumpyKernel:
     ) -> int:
         """Level-synchronous doubting traversal with fused probes.
 
-        Frontier, budget and expansion bookkeeping are exactly
-        :meth:`REncoder._descend_many`'s; only the probe is fused.
-        Returns the probe count for accounting.
+        One fused probe per level for the whole frontier, expansion by
+        ``gap`` bits to the next stored level, and a per-sub-range
+        expansion budget identical to :meth:`REncoder._descend`'s.
+        Updates ``answers`` in place (True only — a sub-range can never
+        veto its query).  Returns the probe count for accounting.
         """
         t = self.tables
         m = qidx.size
@@ -406,7 +379,8 @@ class NumpyKernel:
 
         Each fused probe reads ``k`` windows (one word each), so it
         advances ``fetch_count`` by ``k`` exactly like a scalar
-        ``fetch_bt`` — probe accounting stays comparable across engines.
+        ``fetch_bt`` — probe accounting stays comparable with the
+        scalar path.
         """
         if not probes:
             return

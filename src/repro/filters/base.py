@@ -145,27 +145,16 @@ class RangeFilter(Instrumented, abc.ABC):
                 f"invalid range [{lo}, {hi}] for {self.key_bits}-bit keys"
             )
 
-    def query_many(
-        self,
-        ranges: Sequence[tuple[int, int]],
-        *,
-        engine: "str | None" = None,
-    ) -> list[bool]:
+    def query_many(self, ranges: Sequence[tuple[int, int]]) -> list[bool]:
         """Answer a batch of range queries.
 
         Dispatches to the subclass's vectorised ``query_range_many`` fast
         path when one is defined (REncoder and its variants); otherwise
         falls back to the scalar loop.  Answers are identical either way
         — the fast path is property-tested to be bit-identical.
-
-        ``engine`` selects the batch kernel backend on filters that
-        support fused kernels (``supports_kernels``, the REncoder family
-        — see :mod:`repro.core.kernels`); other filters ignore it.
         """
         fast = getattr(self, "query_range_many", None)
         if fast is not None:
-            if getattr(self, "supports_kernels", False):
-                return [bool(a) for a in fast(ranges, engine=engine)]
             return [bool(a) for a in fast(ranges)]
         return [self.query_range(int(lo), int(hi)) for lo, hi in ranges]
 

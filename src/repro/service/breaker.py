@@ -142,6 +142,18 @@ class CircuitBreaker:
             if self._state == "closed":
                 self._outcomes.append(False)
 
+    def release(self) -> None:
+        """Return an admitted request that settled neither way.
+
+        A request that fails apart from storage (it was malformed) says
+        nothing about the backend.  In half-open its probe slot goes
+        back, so a later request can still close or re-open the breaker;
+        in any other state this is a no-op.
+        """
+        with self._lock:
+            if self._state == "half-open" and self._probes_issued > 0:
+                self._probes_issued -= 1
+
     def record_failure(self) -> None:
         """A storage-touching request failed (fault or deadline overrun)."""
         with self._lock:

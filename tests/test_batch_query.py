@@ -1,22 +1,25 @@
-"""Property tests for the vectorised batch query engine.
+"""Property tests for the batch query engine (the fused kernel).
 
 The batch engine's contract is *bit-identical answers*: for every
 REncoder variant, geometry (``group_bits`` 4 and 8, sub-word
 ``block_bits``) and workload, ``query_range_many`` must return exactly
-what a sequential ``query_range`` loop would, and likewise for the point
-paths.  Hypothesis searches key sets and query batches; dedicated tests
-pin the no-false-negative invariant on the batch path, the
-``decompose_batch`` ≡ ``decompose`` equivalence, and the LSM batch reads
-(results *and* I/O accounting).
+what a sequential ``query_range`` loop — the scalar oracle — would, and
+likewise for the point paths.  Hypothesis searches key sets and query
+batches; every batch also carries the edge ranges (width 1 at both ends
+of the domain, the whole domain, a window butting the top), and an
+empty filter is an explicit example.  Dedicated tests pin the
+no-false-negative invariant on the batch path, the ``decompose_batch``
+≡ ``decompose`` equivalence, the batch entry points' input validation,
+and the LSM batch reads (results *and* I/O accounting).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.decompose import decompose, decompose_batch
-from repro.core.rencoder import FetchCache, REncoder
+from repro.core.rencoder import REncoder
 from repro.core.variants import REncoderPO, REncoderSE, REncoderSS
 from repro.storage.env import StorageEnv
 from repro.storage.lsm import LSMTree
@@ -26,12 +29,22 @@ TOP = (1 << KEY_BITS) - 1
 
 VARIANTS = [REncoder, REncoderSS, REncoderSE, REncoderPO]
 
+#: Deterministic edge ranges appended to every hypothesis batch.
+EDGE_RANGES = [
+    (0, 0),            # width-1 at the bottom
+    (TOP, TOP),        # width-1 at the very top
+    (0, TOP),          # the whole domain
+    (TOP - 63, TOP),   # window butting the top
+]
+
 
 def _build(cls, keys, group_bits):
     kwargs = dict(key_bits=KEY_BITS, group_bits=group_bits)
     if cls is REncoderSE:
         kwargs["sample_queries"] = [(1, 2), (100, 200)]
-    return cls(np.array(sorted(keys), dtype=np.uint64), 12 * len(keys), **kwargs)
+    # An empty key set still needs a non-empty bit array.
+    total_bits = 12 * len(keys) or 2048
+    return cls(np.array(sorted(keys), dtype=np.uint64), total_bits, **kwargs)
 
 
 ranges_strategy = st.lists(
@@ -50,8 +63,10 @@ ranges_strategy = st.lists(
     ranges=ranges_strategy,
 )
 @settings(max_examples=25, deadline=None)
+@example(keys=set(), ranges=[(5, 500)])
 def test_query_range_many_matches_scalar(cls, group_bits, keys, ranges):
     filt = _build(cls, keys, group_bits)
+    ranges = ranges + EDGE_RANGES
     batch = filt.query_range_many(ranges)
     scalar = [filt.query_range(lo, hi) for lo, hi in ranges]
     assert [bool(a) for a in batch] == scalar
@@ -63,8 +78,10 @@ def test_query_range_many_matches_scalar(cls, group_bits, keys, ranges):
     points=st.lists(st.integers(0, TOP), min_size=1, max_size=30),
 )
 @settings(max_examples=25, deadline=None)
+@example(keys=set(), points=[5])
 def test_query_point_many_matches_scalar(cls, keys, points):
     filt = _build(cls, keys, 8)
+    points = points + sorted(keys)[:5] + [0, TOP]
     batch = filt.query_point_many(np.array(points, dtype=np.uint64))
     scalar = [filt.query_point(p) for p in points]
     assert [bool(a) for a in batch] == scalar
@@ -127,36 +144,35 @@ def test_decompose_batch_full_64bit_domain():
     assert list(zip(prefixes.tolist(), lengths.tolist())) == [(0, 0)]
 
 
-def test_fetch_cache_counts_and_scalar_interface():
-    cache = FetchCache()
-    assert cache.hit_rate == 0.0
-    bt = np.arange(2, dtype=np.uint64)
-    assert cache.get((1, 42)) is None
-    cache[(1, 42)] = bt
-    hit = cache.get((1, 42))
-    assert (hit == bt).all()
-    assert (cache.probes, cache.fetches, cache.hits) == (2, 1, 1)
-    assert len(cache) == 1
-    # batch interface sees the scalar insert and vice versa
-    rows, found = cache.lookup(1, np.array([7, 42], dtype=np.uint64))
-    assert found.tolist() == [False, True]
-    assert (rows[1] == bt).all()
-    cache.store(1, np.array([7], dtype=np.uint64),
-                np.array([[9, 9]], dtype=np.uint64))
-    assert cache.get((1, 7)) is not None
+#: Bounds outside every key domain: negative, and at or above 2**64.
+BAD_RANGES = [(-1, 5), (0, 1 << 64), (0, 1 << 70), (-5, -1)]
 
 
-def test_batch_query_reports_cache_hit_rate():
-    rng = np.random.default_rng(0)
-    keys = np.unique(rng.integers(0, TOP, 500, dtype=np.uint64))
-    filt = _build(REncoder, keys.tolist(), 8)
-    base = int(rng.integers(0, TOP - 4096))
-    adjacent = [(base + 64 * i, base + 64 * i + 63) for i in range(32)]
-    filt.reset_counters()
-    filt.query_range_many(adjacent, cache=FetchCache())
-    assert filt.cache_hit_rate > 0.0
-    filt.reset_counters()
-    assert filt.cache_hit_rate == 0.0
+@pytest.mark.parametrize("key_bits", [24, 64])
+@pytest.mark.parametrize(
+    "lo,hi", BAD_RANGES, ids=["lo<0", "hi=2^64", "hi=2^70", "both<0"]
+)
+def test_out_of_domain_bounds_raise_value_error(key_bits, lo, hi):
+    filt = REncoder(np.arange(0, 4000, 7, dtype=np.uint64), key_bits=key_bits)
+    with pytest.raises(ValueError):
+        filt.query_range(lo, hi)
+    with pytest.raises(ValueError):
+        filt.query_range_many([(lo, hi)])
+    with pytest.raises(ValueError):
+        filt.query_many([(lo, hi)])
+    bad_key = lo if lo < 0 else hi
+    with pytest.raises(ValueError):
+        filt.query_point(bad_key)
+    with pytest.raises(ValueError):
+        filt.query_point_many([bad_key])
+
+
+def test_negative_bounds_in_signed_arrays_raise_value_error():
+    filt = REncoder(np.arange(0, 4000, 7, dtype=np.uint64), key_bits=64)
+    with pytest.raises(ValueError):
+        filt.query_range_many(np.array([[-1, 5]], dtype=np.int64))
+    with pytest.raises(ValueError):
+        filt.query_point_many(np.array([-1], dtype=np.int64))
 
 
 def _fresh_tree(seed=11):
@@ -198,61 +214,3 @@ def test_lsm_range_query_many_matches_scalar_with_identical_io():
     scalar = [t1.range_query(lo, hi) for lo, hi in ranges]
     assert t2.range_query_many(ranges) == scalar
     assert e1.stats == e2.stats
-
-
-class TestFetchCacheReuse:
-    """A FetchCache reused across batches must never serve stale
-    mini-trees: it records the RBF generation it was filled against and
-    clears itself when the filter has been mutated since (the service's
-    batch path reuses caches across requests, so staleness would be a
-    false negative — the one error class this codebase forbids)."""
-
-    def _enc(self, keys):
-        return REncoder(
-            np.array(sorted(keys), dtype=np.uint64),
-            64 * len(keys),
-            key_bits=KEY_BITS,
-        )
-
-    def test_reused_cache_sees_post_insert_keys(self):
-        enc = self._enc([100])
-        cache = FetchCache()
-        # Fill the cache with mini-trees proving 200 is absent...
-        assert not enc.query_range_many([(200, 200)], cache=cache)[0]
-        # ...then mutate the filter and ask again through the same cache.
-        enc.insert(200)
-        assert enc.query_range_many([(200, 200)], cache=cache)[0], (
-            "stale cached mini-tree produced a false negative"
-        )
-        assert enc.query_point_many([200], cache=cache)[0]
-
-    def test_cache_kept_while_generation_unchanged(self):
-        enc = self._enc([100, 5000])
-        cache = FetchCache()
-        enc.query_range_many([(100, 100), (5000, 5000)], cache=cache)
-        filled = len(cache._groups)
-        enc.query_range_many([(100, 100), (5000, 5000)], cache=cache)
-        assert len(cache._groups) >= filled  # no spurious invalidation
-        assert cache.generation == enc.rbf.generation
-
-    def test_scalar_probe_validates_cache_too(self):
-        """The scalar verify path (``_probe``) also checks generation
-        when handed a long-lived FetchCache (the public scalar API uses
-        a per-call dict, so only this internal path can go stale)."""
-        enc = self._enc([100])
-        cache = FetchCache()
-        assert not enc._verify(300, KEY_BITS, cache)
-        enc.insert(300)
-        assert enc._verify(300, KEY_BITS, cache)
-
-    def test_absorb_drains_cache_stats(self):
-        """Folding cache stats into the filter zeroes them, so a reused
-        cache never double-counts probes/fetches across batches."""
-        enc = self._enc([100, 900])
-        cache = FetchCache()
-        enc.reset_counters()
-        enc.query_range_many([(100, 100)], cache=cache)
-        first = enc.probe_count
-        assert cache.probes == 0 and cache.fetches == 0
-        enc.query_range_many([(900, 900)], cache=cache)
-        assert enc.probe_count > first  # second batch added, not doubled

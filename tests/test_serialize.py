@@ -21,7 +21,7 @@ from repro.core.errors import (
     TruncatedError,
 )
 from repro.core.rencoder import REncoder
-from repro.core.serialize import MAGIC, checksum, dumps, loads
+from repro.core.serialize import MAGIC, VERSION, checksum, dumps, loads
 from repro.core.two_stage import TwoStageREncoder
 from repro.core.variants import REncoderPO, REncoderSE, REncoderSS
 from repro.workloads.queries import uniform_range_queries
@@ -117,6 +117,7 @@ class TestFormat:
     def test_blob_is_compact(self, uniform_keys):
         filt = REncoder(uniform_keys, bits_per_key=16)
         blob = dumps(filt)
+        assert blob[4:6] == struct.pack("<H", VERSION)
         # Metadata overhead stays under a KiB beyond the raw array.
         assert len(blob) < filt.size_in_bits() // 8 + 1024
 
@@ -166,10 +167,12 @@ class TestHostileInput:
             loads(b"XXXX" + b"\x00" * 32)
 
     def test_unsupported_version(self, small_blob):
-        body = MAGIC + struct.pack("<H", 9) + small_blob[6:-4]
-        blob = body + struct.pack("<I", checksum(body))
-        with pytest.raises(FilterCorruptionError, match="version"):
-            loads(blob)
+        # 3 was the record of the retired cache-blocked RBF layout.
+        for version in (3, 9):
+            body = MAGIC + struct.pack("<H", version) + small_blob[6:-4]
+            blob = body + struct.pack("<I", checksum(body))
+            with pytest.raises(FilterCorruptionError, match="version"):
+                loads(blob)
 
     def test_trailing_garbage_rejected(self, small_blob):
         with pytest.raises(FilterCorruptionError, match="trailing"):

@@ -217,6 +217,21 @@ class TestCircuitBreaker:
         b.record_failure()
         assert b.state == "open" and b.trips == 2
 
+    def test_release_returns_half_open_probe(self):
+        clock = SimulatedClock()
+        b = self._breaker(clock)
+        b.force_open()
+        clock.advance(10 * MS)
+        assert b.allow() and b.allow()
+        assert not b.allow()
+        b.release()  # one probe settled neither way: its slot is free
+        assert b.allow()
+        b.record_success()
+        b.record_success()
+        assert b.state == "closed"
+        b.release()  # closed: nothing to return
+        assert b.state == "closed" and b.allow()
+
     def test_snapshot(self):
         b = self._breaker()
         b.record_failure()
@@ -396,6 +411,36 @@ class TestFilterService:
             assert batch.positive == [True, False, True]
             assert batch.reason == "ok" and not batch.degraded
             assert batch.epoch >= 0
+
+    def test_malformed_requests_do_not_wedge_half_open_breaker(self):
+        """A request that raises outside storage returns its half-open
+        probe: otherwise two bad requests used up both probes and the
+        breaker answered every later request degraded, for good."""
+        clock = SimulatedClock()
+        lsm = LSMTree(
+            lambda ks: REncoder(ks, key_bits=24, bits_per_key=14),
+            memtable_capacity=64,
+            env=StorageEnv(clock=clock),
+        )
+        for k in range(0, 400, 2):
+            lsm.put(k, k)
+        lsm.flush()
+        breaker = CircuitBreaker(
+            clock, open_ns=1000, half_open_probes=2, min_samples=1, window=4
+        )
+        with FilterService(lsm, workers=1, breaker=breaker) as svc:
+            breaker.record_failure()
+            clock.advance(2000)
+            assert breaker.state == "half-open"
+            for bad in ([(-1, 5)], [(0, 1 << 30)]):
+                with pytest.raises(ValueError):
+                    svc.query_range_batch(bad)
+            with pytest.raises(ValueError):
+                svc.query_range(-1, 5)
+            first = svc.query_range_batch([(7, 7)])
+            assert first.reason == "ok" and first.positive == [False]
+            assert svc.query_range_batch([(6, 6)]).positive == [True]
+            assert breaker.state == "closed"
 
     def test_tight_deadline_degrades_all_positive(self):
         lsm = _tree()
